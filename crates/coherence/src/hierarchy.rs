@@ -178,21 +178,6 @@ impl HierarchyStats {
     pub fn event(&self, e: CoherenceEvent) -> u64 {
         self.events.get(e)
     }
-
-    /// Accumulates another lane's statistics. Every field is a counter
-    /// sum or histogram-bucket add, so merging is commutative and
-    /// associative — the parallel tick's per-worker stats fold into the
-    /// exact totals the serial tick accumulates, in any merge order.
-    pub fn merge(&mut self, other: &HierarchyStats) {
-        self.events.merge(&other.events);
-        self.l1_hits += other.l1_hits;
-        self.l1_misses += other.l1_misses;
-        self.mshr_merges += other.mshr_merges;
-        self.recalls += other.recalls;
-        self.silent_upgrades += other.silent_upgrades;
-        self.dispatched += other.dispatched;
-        self.protocol.merge(&other.protocol);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -328,8 +313,8 @@ impl LlcLine {
 
 /// One address-sharded LLC/directory bank: a slice of the aggregate LLC
 /// array plus that slice's set stalls, DRAM channel, and golden memory
-/// image. Banks share nothing, which is what lets the parallel tick
-/// dispatch into different banks concurrently.
+/// image. Banks share nothing; a block's whole directory transaction
+/// stays inside the one bank that owns it.
 #[derive(Debug, Clone)]
 pub(crate) struct LlcBank {
     pub(crate) array: CacheArray<LlcLine>,
@@ -342,93 +327,23 @@ pub(crate) struct LlcBank {
     pub(crate) mem_image: FxHashMap<u64, u64>,
 }
 
-/// An indexable view of one domain slice (`Vec<L1>` / `Vec<LlcBank>`)
-/// that a [`Lane`] dispatches into.
-///
-/// Serially it is a plain reborrow of the whole slice. In the parallel
-/// tick every worker holds a view of the *same* slice, and exclusivity
-/// is by protocol instead of by type: the round partitioner hands each
-/// domain (one core's L1, one LLC bank) to at most one worker, and a
-/// lane only ever indexes the domains of events it was handed. Raw
-/// pointers (rather than overlapping `&mut [T]`, which would be
-/// immediate UB) keep that aliasing legal; the generalization of
-/// `split_at_mut` to an arbitrary partition.
-pub(crate) struct DomainVec<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<'a, T> DomainVec<'a, T> {
-    /// The serial view: exclusive over the whole slice.
-    pub(crate) fn full(slice: &'a mut [T]) -> Self {
-        DomainVec {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// An aliasing view for one parallel worker.
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr + len` must stay valid (and un-moved) for `'a`, and no
-    /// two concurrently live views may index the same element — the
-    /// round partitioner's domain-claim protocol.
-    pub(crate) unsafe fn alias(ptr: *mut T, len: usize) -> Self {
-        DomainVec {
-            ptr,
-            len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<T> std::ops::Index<usize> for DomainVec<'_, T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        assert!(i < self.len, "domain {i} out of range ({})", self.len);
-        unsafe { &*self.ptr.add(i) }
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for DomainVec<'_, T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        assert!(i < self.len, "domain {i} out of range ({})", self.len);
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
-// SAFETY: views move to workers only under the claim protocol above, and
-// the underlying elements are plain owned data.
-unsafe impl<T: Send> Send for DomainVec<'_, T> {}
-
-/// Everything one dispatched event may touch, split out of [`Hierarchy`]
-/// so the same handler code serves both the serial tick (one lane over
-/// all domains) and the parallel tick (one lane per worker, restricted by
-/// the claim protocol to the domains it was handed).
-///
-/// Handlers never schedule into the event queue directly: sends collect
-/// in `sends` in emission order and the caller drains them, which is what
-/// makes a round of concurrently dispatched events mergeable into the
-/// exact serial schedule order.
-pub(crate) struct Lane<'a> {
-    pub(crate) cfg: &'a HierarchyConfig,
-    pub(crate) mesh: MeshTopology,
-    pub(crate) l1s: DomainVec<'a, L1>,
-    pub(crate) banks: DomainVec<'a, LlcBank>,
-    pub(crate) stats: &'a mut HierarchyStats,
-    pub(crate) completions: &'a mut Vec<Completion>,
-    pub(crate) sends: &'a mut Vec<(Cycle, Event)>,
-    pub(crate) finish_scratch: &'a mut Vec<PendingReq>,
-    pub(crate) tracer: &'a mut Tracer,
-    pub(crate) jitter: Option<&'a mut LinkJitter>,
+/// Everything one dispatched event may touch: a borrow split of
+/// [`Hierarchy`]'s fields, so handlers can hold an L1 or bank mutably
+/// while scheduling, counting, and tracing through the others.
+struct Lane<'a> {
+    cfg: &'a HierarchyConfig,
+    mesh: MeshTopology,
+    l1s: &'a mut [L1],
+    banks: &'a mut [LlcBank],
+    stats: &'a mut HierarchyStats,
+    completions: &'a mut Vec<Completion>,
+    queue: &'a mut EventQueue<Event>,
+    finish_scratch: &'a mut Vec<PendingReq>,
+    tracer: &'a mut Tracer,
+    jitter: Option<&'a mut LinkJitter>,
     /// When the undo log is armed: the top frame's latency-record journal
     /// (completions log histogram marks there so undo can reverse them).
-    pub(crate) undo_lat: Option<&'a mut Vec<(RequestClass, u64, HistogramMark)>>,
+    undo_lat: Option<&'a mut Vec<(RequestClass, u64, HistogramMark)>>,
 }
 
 #[derive(Debug, Clone)]
@@ -708,20 +623,20 @@ pub struct Hierarchy {
     /// `cfg.bank_of(addr)` owns block `addr`).
     pub(crate) banks: Vec<LlcBank>,
     next_req: RequestId,
-    pub(crate) completions: Vec<Completion>,
+    completions: Vec<Completion>,
     /// Scratch buffer for [`EventQueue::pop_batch`]; kept on the struct so
     /// its allocation is reused across ticks.
-    pub(crate) batch: Vec<Event>,
+    batch: Vec<Event>,
     /// Scratch for draining a closed MSHR transaction's queued requests;
     /// reused so transaction completion never allocates.
-    pub(crate) finish_scratch: Vec<PendingReq>,
-    pub(crate) stats: HierarchyStats,
+    finish_scratch: Vec<PendingReq>,
+    stats: HierarchyStats,
     /// Structured protocol tracer (disabled by default: one branch per
     /// would-be event).
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     /// Optional per-hop latency jitter (fuzzing only; `None` keeps the
     /// calibrated fixed latencies).
-    pub(crate) jitter: Option<LinkJitter>,
+    jitter: Option<LinkJitter>,
     /// Step-reversal log (inactive until [`enable_undo`](Self::enable_undo)).
     undo: UndoLog,
     /// Scratch for per-L1 content digests in
@@ -729,8 +644,6 @@ pub struct Hierarchy {
     digest_l1_scratch: Vec<u64>,
     /// Scratch for per-bank content digests, same purpose.
     digest_bank_scratch: Vec<u64>,
-    /// Scratch for the serial dispatch path's deferred sends.
-    pub(crate) sends_scratch: Vec<(Cycle, Event)>,
 }
 
 impl Hierarchy {
@@ -768,7 +681,6 @@ impl Hierarchy {
             undo: UndoLog::default(),
             digest_l1_scratch: Vec::new(),
             digest_bank_scratch: Vec::new(),
-            sends_scratch: Vec::new(),
             cfg,
         }
     }
@@ -1161,7 +1073,6 @@ impl Hierarchy {
             undo: UndoLog::default(),
             digest_l1_scratch: Vec::new(),
             digest_bank_scratch: Vec::new(),
-            sends_scratch: Vec::new(),
         }
     }
 
@@ -1762,14 +1673,8 @@ impl Hierarchy {
         MeshTopology::new(self.cfg.cores, self.cfg.banks, self.cfg.mesh_hop_latency)
     }
 
-    /// Whether the undo log is armed (the parallel tick refuses to run
-    /// with it on: rounds dispatch many events per frame).
-    pub(crate) fn undo_active(&self) -> bool {
-        self.undo.enabled
-    }
-
-    /// A lane over every domain — the serial dispatch view.
-    pub(crate) fn lane<'a>(&'a mut self, sends: &'a mut Vec<(Cycle, Event)>) -> Lane<'a> {
+    /// The borrow split one dispatched event runs against.
+    fn lane(&mut self) -> Lane<'_> {
         let mesh = self.mesh();
         let undo_lat = if self.undo.enabled {
             self.undo.frames.last_mut().map(|f| &mut f.lat_records)
@@ -1779,11 +1684,11 @@ impl Hierarchy {
         Lane {
             cfg: &self.cfg,
             mesh,
-            l1s: DomainVec::full(&mut self.l1s),
-            banks: DomainVec::full(&mut self.banks),
+            l1s: &mut self.l1s,
+            banks: &mut self.banks,
             stats: &mut self.stats,
             completions: &mut self.completions,
-            sends,
+            queue: &mut self.queue,
             finish_scratch: &mut self.finish_scratch,
             tracer: &mut self.tracer,
             jitter: self.jitter.as_mut(),
@@ -1791,30 +1696,18 @@ impl Hierarchy {
         }
     }
 
-    /// Dispatches one event through a full lane, then drains its deferred
-    /// sends into the queue — in emission order, which assigns exactly the
-    /// sequence numbers the pre-lane code assigned by scheduling inline.
+    /// Dispatches one event; its handler schedules follow-on events
+    /// straight into the queue, in emission order.
     fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
-        let mut sends = std::mem::take(&mut self.sends_scratch);
-        let result = self.lane(&mut sends).dispatch(now, ev);
-        // Drain even on error: a failing handler's earlier sends were
-        // already on the wire when the pre-lane code hit the same error.
-        for (at, ev) in sends.drain(..) {
-            self.queue.schedule(at, ev);
-        }
-        self.sends_scratch = sends;
-        result
+        self.lane().dispatch(now, ev)
     }
 }
 
 impl Lane<'_> {
-    /// Defers an event schedule to the caller: serial dispatch drains the
-    /// buffer into the queue after each event; the parallel round runner
-    /// merges all lanes' buffers in batch order. Either way the queue sees
-    /// schedules in exactly the serial emission order.
+    /// Schedules a follow-on event.
     #[inline]
     fn sched(&mut self, at: Cycle, ev: Event) {
-        self.sends.push((at, ev));
+        self.queue.schedule(at, ev);
     }
 
     /// Per-bank array geometry (set-stall keys are bank-local indices).
@@ -1976,7 +1869,7 @@ impl Lane<'_> {
         self.sched(at, Event::ToL1 { core, src, msg });
     }
 
-    pub(crate) fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
+    fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
         self.stats.dispatched += 1;
         match ev {
             Event::CoreReq { core, req } => self.l1_access(now, core, req),

@@ -44,7 +44,6 @@ pub mod coverage;
 pub mod hierarchy;
 pub mod metrics;
 pub mod msg;
-mod parallel;
 pub mod protocol;
 mod slab;
 pub mod state;

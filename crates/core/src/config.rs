@@ -76,7 +76,7 @@ impl Default for SystemConfigBuilder {
                 walk_cycles_per_level: 16,
                 demand_fault_cycles: 1500,
                 cow_fault_cycles: 2000,
-                banks: crate::driver::default_banks(),
+                banks: 1,
                 mesh_hop_latency: 0,
             },
         }
@@ -136,10 +136,8 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Shards the LLC/directory into `banks` address-interleaved banks.
-    /// When not called, the builder starts from the `SWIFTDIR_BANKS`
-    /// environment variable ([`driver::default_banks`](crate::driver))
-    /// and falls back to a single monolithic bank.
+    /// Shards the LLC/directory into `banks` address-interleaved banks
+    /// (default: one monolithic bank).
     ///
     /// # Panics
     ///

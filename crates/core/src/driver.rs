@@ -36,10 +36,6 @@ use sim_engine::{Json, ProgressSampler};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "SWIFTDIR_THREADS";
 
-/// Environment variable overriding the default directory-bank count
-/// picked up by [`SystemConfig`](crate::SystemConfig)'s builder.
-pub const BANKS_ENV: &str = "SWIFTDIR_BANKS";
-
 /// Wall-clock accounting of one sweep point (one configuration run by
 /// [`ExperimentSet::run_with_report`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -130,36 +126,6 @@ pub fn default_threads() -> usize {
         }),
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Default directory-bank count for a freshly built
-/// [`SystemConfig`](crate::SystemConfig): `SWIFTDIR_BANKS` when set to
-/// a positive power of two, else 1 (the monolithic pre-sharded LLC).
-/// An unusable value warns to stderr (once per process) and falls back
-/// rather than being silently ignored; explicit
-/// [`banks`](crate::SystemConfigBuilder::banks) calls always win.
-pub fn default_banks() -> usize {
-    static WARNED: Once = Once::new();
-    match std::env::var(BANKS_ENV) {
-        Ok(v) => parse_banks(&v).unwrap_or_else(|| {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "swiftdir: invalid {BANKS_ENV}={v:?} (want a positive power of two); \
-                     falling back to a single bank"
-                );
-            });
-            1
-        }),
-        Err(_) => 1,
-    }
-}
-
-/// `SWIFTDIR_BANKS` value parser: positive powers of two only.
-fn parse_banks(v: &str) -> Option<usize> {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n.is_power_of_two() => Some(n),
-        _ => None,
-    }
 }
 
 impl<C> ExperimentSet<C> {
@@ -396,18 +362,6 @@ impl<C> FromIterator<C> for ExperimentSet<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn banks_env_values_parse_as_positive_powers_of_two() {
-        // Tested through the parser, not the process environment —
-        // mutating env vars races with the parallel test harness.
-        assert_eq!(parse_banks("1"), Some(1));
-        assert_eq!(parse_banks(" 8 "), Some(8));
-        assert_eq!(parse_banks("64"), Some(64));
-        for bad in ["0", "6", "-2", "eight", ""] {
-            assert_eq!(parse_banks(bad), None, "{bad:?} must be rejected");
-        }
-    }
 
     #[test]
     fn results_are_in_input_order() {

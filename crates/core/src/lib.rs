@@ -75,7 +75,7 @@ pub use diff::{
     architectural_diff, contended_stream, explored_equivalence, run_stream,
     swiftdir_mesi_cycle_identity, well_separated_stream, StreamRun,
 };
-pub use driver::{default_banks, default_threads, DriverReport, ExperimentSet, PointTiming};
+pub use driver::{default_threads, DriverReport, ExperimentSet, PointTiming};
 pub use explore::{
     adaptive_split_depth, explore, explore_campaign, explore_parallel, explore_parallel_profiled,
     explore_parallel_threads, DepthProfile, DepthStats, ExploreConfig, ExploreError, ExploreMode,

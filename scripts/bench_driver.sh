@@ -8,8 +8,9 @@
 #
 #   scripts/bench_driver.sh --check
 #
-# re-measures the single-run figure against the committed
-# BENCH_driver.json and fails on a >10% regression (the CI bench smoke).
+# re-measures the single-run time, explore schedules/s, and scale-out
+# events/s against the committed BENCH_driver.json and fails on a >10%
+# regression of any (the CI bench smoke).
 # Run from the repository root:
 #
 #   scripts/bench_driver.sh
